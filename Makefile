@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test bench race vet fmt baseline bench-check obs replay adversarial serve loadgen serve-smoke trace-smoke grid-smoke grid-baseline
+.PHONY: test bench race vet fmt obs replay adversarial serve serve-smoke trace-smoke
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -42,41 +42,10 @@ replay:
 adversarial:
 	$(GO) run ./cmd/sidbench -exp adversarial
 
-# Regenerates the machine-readable perf baseline (BENCH_baseline.json).
-# Pinned to GOMAXPROCS=2 so the Workers fan-out is exercised and recorded
-# even on single-core hosts; see docs/PERFORMANCE.md for the methodology.
-baseline:
-	$(GO) run ./cmd/sidbench -bench -gomaxprocs 2
-
-# Smoke-checks the committed baseline without re-measuring: fails if
-# BENCH_baseline.json is missing, was recorded at GOMAXPROCS <= 1, or lacks
-# the per-stage breakdown the synthesis perf target is pinned to.
-bench-check:
-	$(GO) run ./cmd/sidbench -check
-
-# Large-field smoke: the index-vs-unindexed parity cross-check plus a
-# downscaled grid run with every scaling feature on (spatial wake index,
-# hierarchical collection, duty cycling, bounded history). Small grids never
-# touch the committed baseline; see docs/PERFORMANCE.md.
-grid-smoke:
-	$(GO) run ./cmd/sidbench -exp grid -grid 8x8 -gomaxprocs 2
-
-# Refreshes the canonical grid_100x100 baseline entry and its speedup curve
-# (tens of seconds per worker setting; see docs/PERFORMANCE.md).
-grid-baseline:
-	$(GO) run ./cmd/sidbench -exp grid -gomaxprocs 2
-
 # Runs the multi-tenant detection server (docs/SERVING.md).
 SERVE_ADDR ?= localhost:8080
 serve:
 	$(GO) run ./cmd/sidserve -addr $(SERVE_ADDR)
-
-# Closed-loop load generator against an in-process server: 1000 concurrent
-# tenants over loopback HTTP; refreshes the serve_1k_tenants entry in
-# BENCH_baseline.json (pinned to GOMAXPROCS=2 like the rest of the
-# baseline; see docs/SERVING.md and docs/PERFORMANCE.md).
-loadgen:
-	$(GO) run ./cmd/sidbench -exp serve -gomaxprocs 2
 
 # Serve smoke: boot sidserve, drive a handful of tenants through the load
 # generator's external-address path (create, ingest, event-stream

@@ -359,8 +359,8 @@ func BenchmarkOceanFieldSample(b *testing.B) {
 
 // --- Wave-synthesis and FFT-plan benchmarks ---
 //
-// These back the numbers in docs/PERFORMANCE.md and BENCH_baseline.json;
-// perf-affecting PRs must re-run them (see the rules in PERFORMANCE.md).
+// These back the micro-benchmark tables in docs/PERFORMANCE.md; the
+// end-to-end figures come from the sidperf benchmark (see the rules there).
 
 // benchField builds a representative directional sea: 64 frequency bins ×
 // 8 directions, the default discretization used by deployments.

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,10 +17,6 @@ import (
 	sidapi "github.com/sid-wsn/sid"
 	"github.com/sid-wsn/sid/internal/serve"
 )
-
-// serveBenchName is the baseline entry the serving-layer load test records;
-// checkBench requires it, so perf-affecting PRs re-measure the server too.
-const serveBenchName = "serve_1k_tenants"
 
 // serveFeed pairs a recorded ingest load with the spec that produced it, so
 // every tenant replaying the feed is created with the exact deployment the
@@ -58,14 +53,10 @@ func (r *serveLoadResult) BlocksPerSec() float64 {
 
 // buildServeFeeds records the load mix once: three cheap 3×3 quiet-ish
 // crossings that make up the bulk of the fleet, plus one detection-bearing
-// hot crossing (5×5 unless the -grid flag overrides it) assigned to every
-// 50th tenant so the run exercises the full confirmation pipeline (cluster
-// formation, correlation test, detection events on the wire) and not just
-// ingest.
-func buildServeFeeds(hotRows, hotCols int) (cheap []serveFeed, hot serveFeed, err error) {
-	if hotRows == 0 {
-		hotRows, hotCols = 5, 5
-	}
+// 5×5 hot crossing assigned to every 50th tenant so the run exercises the
+// full confirmation pipeline (cluster formation, correlation test, detection
+// events on the wire) and not just ingest.
+func buildServeFeeds() (cheap []serveFeed, hot serveFeed, err error) {
 	const batch = 0.5
 	mk := func(rows, cols int, seed int64, dur, chunkS, crossAt float64) (serveFeed, error) {
 		spec := sidapi.DefaultDeployment()
@@ -94,7 +85,7 @@ func buildServeFeeds(hotRows, hotCols int) (cheap []serveFeed, hot serveFeed, er
 		}
 		cheap = append(cheap, f)
 	}
-	hot, err = mk(hotRows, hotCols, 301, 120, 10, 60)
+	hot, err = mk(5, 5, 301, 120, 10, 60)
 	if err != nil {
 		return nil, serveFeed{}, fmt.Errorf("hot feed: %w", err)
 	}
@@ -283,11 +274,11 @@ func driveTenant(client *http.Client, base, id string, f serveFeed, dets *int64)
 // throughput and POST→confirmation latency. With addr == "" it starts an
 // in-process server on an ephemeral port; otherwise it targets a running
 // sidserve at addr (the CI smoke path).
-func measureServe(tenants int, addr string, hotRows, hotCols int) (*serveLoadResult, error) {
+func measureServe(tenants int, addr string) (*serveLoadResult, error) {
 	if tenants <= 0 {
 		return nil, fmt.Errorf("serve: tenant count must be positive, got %d", tenants)
 	}
-	cheap, hot, err := buildServeFeeds(hotRows, hotCols)
+	cheap, hot, err := buildServeFeeds()
 	if err != nil {
 		return nil, err
 	}
@@ -386,72 +377,13 @@ func (r *serveLoadResult) print() {
 		r.Detections, r.WantDets)
 }
 
-// benchEntry converts the measured run into its baseline-file form: ns/op
-// is the p99 POST→confirmation latency, ops the chunk count.
-func (r *serveLoadResult) benchEntry() benchResult {
-	return benchResult{
-		Name:        serveBenchName,
-		NsPerOp:     float64(r.P99.Nanoseconds()),
-		Ops:         r.Chunks,
-		DetE2eP50Ns: float64(r.DetP50.Nanoseconds()),
-		DetE2eP99Ns: float64(r.DetP99.Nanoseconds()),
-		Note: fmt.Sprintf("p99 ingest latency, %d closed-loop tenants, %.0f node-blocks/s sustained, %d detections on the wire",
-			r.Tenants, r.BlocksPerSec(), r.Detections),
-	}
-}
-
-// runServeExp is the -exp serve entry point: run the load generator and,
-// when the run is at the canonical 1k-tenant scale against the in-process
-// server, refresh the serve_1k_tenants entry in the baseline file.
-func runServeExp(tenants int, addr, benchPath string, hotRows, hotCols int) error {
-	res, err := measureServe(tenants, addr, hotRows, hotCols)
+// runServeExp is the -exp serve entry point: run the load generator and
+// print its report.
+func runServeExp(tenants int, addr string) error {
+	res, err := measureServe(tenants, addr)
 	if err != nil {
 		return err
 	}
 	res.print()
-	if tenants != 1000 || addr != "" || hotRows != 0 {
-		fmt.Printf("(baseline not updated: the %s entry is recorded at 1000 tenants in-process on the default feed mix)\n", serveBenchName)
-		return nil
-	}
-	if err := mergeServeBaseline(benchPath, res); err != nil {
-		return err
-	}
-	fmt.Printf("refreshed %s in %s\n", serveBenchName, benchPath)
 	return nil
-}
-
-// mergeServeBaseline upserts the serve load entry into an existing baseline
-// file, leaving every other measurement untouched. A full -bench run also
-// records the entry; this path refreshes it alone.
-func mergeServeBaseline(path string, res *serveLoadResult) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline must exist before merging (run -bench first): %w", err)
-	}
-	var bf benchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	entry := res.benchEntry()
-	replaced := false
-	for i := range bf.Benchmarks {
-		if bf.Benchmarks[i].Name == serveBenchName {
-			bf.Benchmarks[i] = entry
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		bf.Benchmarks = append(bf.Benchmarks, entry)
-	}
-	if bf.Derived == nil {
-		bf.Derived = map[string]string{}
-	}
-	bf.Derived["serve_blocks_per_sec"] = fmt.Sprintf("%.0f", res.BlocksPerSec())
-	out, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
 }

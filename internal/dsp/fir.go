@@ -52,22 +52,6 @@ func LowPassFIR(cutoff, sampleRate float64, taps int, window WindowType) (*FIR, 
 	return &FIR{Taps: h}, nil
 }
 
-// HighPassFIR designs a windowed-sinc high-pass filter by spectral inversion
-// of the corresponding low-pass design.
-func HighPassFIR(cutoff, sampleRate float64, taps int, window WindowType) (*FIR, error) {
-	lp, err := LowPassFIR(cutoff, sampleRate, taps, window)
-	if err != nil {
-		return nil, err
-	}
-	h := lp.Taps
-	mid := (len(h) - 1) / 2
-	for i := range h {
-		h[i] = -h[i]
-	}
-	h[mid] += 1
-	return &FIR{Taps: h}, nil
-}
-
 // GroupDelay returns the filter's group delay in samples ((taps−1)/2 for the
 // linear-phase designs produced by this package).
 func (f *FIR) GroupDelay() int { return (len(f.Taps) - 1) / 2 }
@@ -117,7 +101,6 @@ func (s *Stream) Push(x float64) float64 {
 	return acc
 }
 
-// Reset clears the stream state.
 // MemBytes returns the stream's resident state in bytes: tap and delay-line
 // slices plus the cursor. Each detector builds its own filter, so the taps
 // count against the owning node's budget.
@@ -125,6 +108,7 @@ func (s *Stream) MemBytes() int {
 	return (cap(s.taps)+cap(s.buf))*8 + 8
 }
 
+// Reset clears the stream state.
 func (s *Stream) Reset() {
 	for i := range s.buf {
 		s.buf[i] = 0

@@ -85,19 +85,6 @@ func TestLowPassFIRValidation(t *testing.T) {
 	}
 }
 
-func TestHighPassFIRResponse(t *testing.T) {
-	hp, err := HighPassFIR(5, 50, 201, Hamming)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := toneResponse(hp, 0.5, 50); g > 0.02 {
-		t.Errorf("HP gain at 0.5 Hz = %v, want ~0", g)
-	}
-	if g := toneResponse(hp, 15, 50); math.Abs(g-1) > 0.05 {
-		t.Errorf("HP gain at 15 Hz = %v, want ~1", g)
-	}
-}
-
 func TestFIRApplyEmpty(t *testing.T) {
 	lp, _ := LowPassFIR(1, 50, 11, Hamming)
 	if out := lp.Apply(nil); out != nil {

@@ -115,15 +115,19 @@ func TestBandEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := sg.Frames[0]
-	low := sg.BandEnergy(f, 0.1, 1)
-	high := sg.BandEnergy(f, 4, 6)
-	mid := sg.BandEnergy(f, 2, 3)
+	// bandEnergy sums the first frame's power over bins in [lo, hi).
+	bandEnergy := func(lo, hi float64) float64 {
+		var e float64
+		for k, p := range sg.Frames[0].Power {
+			if sg.Freqs[k] >= lo && sg.Freqs[k] < hi {
+				e += p
+			}
+		}
+		return e
+	}
+	low, high, mid := bandEnergy(0.1, 1), bandEnergy(4, 6), bandEnergy(2, 3)
 	if low <= 10*mid || high <= 10*mid {
 		t.Errorf("band energies: low=%v mid=%v high=%v", low, mid, high)
-	}
-	if tp := sg.TotalPower(); tp < low+high {
-		t.Errorf("TotalPower=%v < band sums", tp)
 	}
 }
 
@@ -159,35 +163,6 @@ func TestFindPeaksMinSeparation(t *testing.T) {
 	}
 	if peaks[0].Bin != 1 || peaks[1].Bin != 8 {
 		t.Errorf("peaks = %+v", peaks)
-	}
-}
-
-func TestSpectralCentroid(t *testing.T) {
-	power := []float64{0, 1, 0, 1, 0}
-	freqs := []float64{0, 1, 2, 3, 4}
-	if c := SpectralCentroid(power, freqs); !almostEq(c, 2, 1e-12) {
-		t.Errorf("centroid = %v, want 2", c)
-	}
-	if c := SpectralCentroid([]float64{0, 0}, []float64{1, 2}); c != 0 {
-		t.Errorf("zero-power centroid = %v", c)
-	}
-}
-
-func TestSpectralFlatness(t *testing.T) {
-	// Flat spectrum → 1; single spike → small.
-	flat := []float64{1, 1, 1, 1}
-	if f := SpectralFlatness(flat); !almostEq(f, 1, 1e-12) {
-		t.Errorf("flatness(flat) = %v", f)
-	}
-	spike := []float64{1e-9, 1e-9, 1000, 1e-9}
-	if f := SpectralFlatness(spike); f > 0.01 {
-		t.Errorf("flatness(spike) = %v, want near 0", f)
-	}
-	if f := SpectralFlatness(nil); f != 0 {
-		t.Errorf("flatness(nil) = %v", f)
-	}
-	if f := SpectralFlatness([]float64{0, 0}); f != 0 {
-		t.Errorf("flatness(zeros) = %v", f)
 	}
 }
 

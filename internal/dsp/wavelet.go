@@ -35,11 +35,6 @@ func (m *MorletCWT) ScaleForFreq(f float64) float64 {
 	return m.Omega0 * m.SampleRate / (2 * math.Pi * f)
 }
 
-// FreqForScale inverts ScaleForFreq.
-func (m *MorletCWT) FreqForScale(s float64) float64 {
-	return m.Omega0 * m.SampleRate / (2 * math.Pi * s)
-}
-
 // Scalogram holds |W(s, t)|² over a grid of frequencies (rows) and times
 // (all samples, columns). It is the 3-D plot of Fig. 7 in matrix form.
 type Scalogram struct {
@@ -130,28 +125,6 @@ func LogFreqs(lo, hi float64, nf int) ([]float64, error) {
 		out[i] = lo * math.Exp(ratio*float64(i)/float64(nf-1))
 	}
 	return out, nil
-}
-
-// BandFraction returns the fraction of total scalogram power contained in
-// rows whose frequency lies in [lo, hi). Fig. 7's observation — "ship waves
-// mainly focus on the low frequency spectrum" — is quantified by a high
-// BandFraction below 1 Hz during a ship passage.
-func (sg *Scalogram) BandFraction(lo, hi float64) float64 {
-	var band, total float64
-	for i, f := range sg.Freqs {
-		var rowSum float64
-		for _, p := range sg.Power[i] {
-			rowSum += p
-		}
-		total += rowSum
-		if f >= lo && f < hi {
-			band += rowSum
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return band / total
 }
 
 // TimeSlicePower returns the summed power across all frequencies at sample n.

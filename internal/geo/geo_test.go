@@ -43,41 +43,6 @@ func TestVec2Unit(t *testing.T) {
 	}
 }
 
-func TestVec2Rotate(t *testing.T) {
-	v := Vec2{1, 0}
-	r := v.Rotate(math.Pi / 2)
-	if !almostEq(r.X, 0, eps) || !almostEq(r.Y, 1, eps) {
-		t.Errorf("Rotate 90° = %v, want (0,1)", r)
-	}
-	// Rotation preserves length (property check over a few samples).
-	for _, a := range []float64{0.1, 1.3, -2.2, math.Pi} {
-		w := Vec2{2.5, -7.1}.Rotate(a)
-		if !almostEq(w.Norm(), Vec2{2.5, -7.1}.Norm(), 1e-9) {
-			t.Errorf("rotation by %v changed norm", a)
-		}
-	}
-}
-
-func TestVec2RotateProperty(t *testing.T) {
-	f := func(x, y, angle float64) bool {
-		if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) ||
-			math.IsNaN(angle) || math.IsInf(angle, 0) {
-			return true
-		}
-		// Constrain to a numerically sane domain.
-		x = math.Mod(x, 1e6)
-		y = math.Mod(y, 1e6)
-		angle = math.Mod(angle, 2*math.Pi)
-		v := Vec2{x, y}
-		r := v.Rotate(angle).Rotate(-angle)
-		tol := 1e-9 * (1 + v.Norm())
-		return almostEq(r.X, v.X, tol) && almostEq(r.Y, v.Y, tol)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLineDistProject(t *testing.T) {
 	l := NewLine(Vec2{0, 0}, Vec2{1, 0})
 	if d := l.Dist(Vec2{5, 3}); !almostEq(d, 3, eps) {

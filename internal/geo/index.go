@@ -119,9 +119,6 @@ func (ix *Index) At(i int) Vec2 { return ix.pts[i] }
 // CellSize returns the bucket edge length in meters.
 func (ix *Index) CellSize() float64 { return ix.cell }
 
-// Cells returns the bucket grid dimensions (rows, cols).
-func (ix *Index) Cells() (rows, cols int) { return ix.rows, ix.cols }
-
 // cellBox returns the axis-aligned rectangle covered by cell (r, c). Points
 // clamped inward from the outer boundary still lie inside it because the
 // grid spans the full point bounding box.

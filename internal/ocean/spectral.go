@@ -313,7 +313,6 @@ type SpectralStream struct {
 	tBase   float64 // time of grid sample 0
 	slots   [3]chunkSlot
 	scratch [3][]complex128
-	chunks  int64 // chunks synthesized (profiling/culling stats)
 }
 
 // NewStream returns a stream for a fixed observer at p.
@@ -332,11 +331,6 @@ func (p *SpectralPlan) NewStream(pos geo.Vec2) *SpectralStream {
 func (p *SpectralPlan) NewMovingStream(posAt func(t float64) geo.Vec2) *SpectralStream {
 	return &SpectralStream{plan: p, posAt: posAt}
 }
-
-// ChunksSynthesized returns how many chunks the stream has synthesized —
-// the denominator of the amortized cost story (each chunk serves hop new
-// samples).
-func (s *SpectralStream) ChunksSynthesized() int64 { return s.chunks }
 
 // VerticalAccel implements sensor.SurfaceModel via the exact phasor field.
 func (s *SpectralStream) VerticalAccel(p geo.Vec2, t float64) float64 {
@@ -486,5 +480,4 @@ func (s *SpectralStream) synthesize(sl *chunkSlot, m int) {
 		sl.slopeY[i] = real(sy[i])
 	}
 	sl.m, sl.valid = m, true
-	s.chunks++
 }

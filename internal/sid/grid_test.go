@@ -8,12 +8,12 @@ import (
 )
 
 // TestGridSmoke runs a downscaled version of the large-field scaling
-// configuration (sidbench -exp grid) with every scaling feature engaged at
-// once — spectral synthesis behind the spatial wake index, duty-cycled
-// sentinels, two-level report collection, and a bounded detection history —
-// and requires the crossing to be detected with all of them active. The
-// full-size 100×100 measurement lives in the bench harness; this keeps the
-// feature interaction under the regular test and race targets.
+// configuration with every scaling feature engaged at once — spectral
+// synthesis behind the spatial wake index, duty-cycled sentinels, two-level
+// report collection, and a bounded detection history — and requires the
+// crossing to be detected with all of them active. The large-field
+// measurement is the sidperf grid_crossing workload; this keeps the feature
+// interaction under the regular test and race targets.
 func TestGridSmoke(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Grid = geo.GridSpec{Rows: 8, Cols: 8, Spacing: 25}

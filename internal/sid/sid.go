@@ -381,10 +381,6 @@ func (r *Runtime) ClustersFormed() int { return int(r.ctr.clustersFormed.Value()
 // "sid.failovers").
 func (r *Runtime) Failovers() int { return int(r.ctr.failovers.Value()) }
 
-// DeadlineExtensions counts one-time collection-deadline extensions
-// (registry: "sid.deadline_extensions").
-func (r *Runtime) DeadlineExtensions() int { return int(r.ctr.deadlineExt.Value()) }
-
 // Observability returns the deployment's collector (never nil; a private
 // registry-only collector is created when Config.Obs was nil).
 func (r *Runtime) Observability() *obs.Collector { return r.col }

@@ -19,7 +19,7 @@ func indexedSynth(t *testing.T, rows, cols int, drift float64, disable bool) *Sy
 		DriftRadius:  drift,
 		Seed:         4242,
 		Synthesis:    SynthSpectral,
-		DisableIndex: disable,
+		disableIndex: disable,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -134,13 +134,13 @@ type SyntheticConfig struct {
 	// 0 selects the ocean package default of 1024 samples). Ignored in
 	// phasor mode.
 	SpectralWindow int
-	// DisableIndex turns off the spatial wake index that spectral mode
+	// disableIndex turns off the spatial wake index that spectral mode
 	// builds over Positions, forcing every node to carry every wake model
 	// and pay the per-block bound check (the pre-index behavior). The
-	// indexed and unindexed paths are bit-identical — the flag exists for
-	// cross-checks and A/B benchmarks, not correctness. Ignored in phasor
+	// indexed and unindexed paths are bit-identical; the switch exists only
+	// so this package's tests can check that parity. Ignored in phasor
 	// mode, which never indexes.
-	DisableIndex bool
+	disableIndex bool
 }
 
 // cullFraction sets the culling floors as a fraction of one ADC count: a
@@ -245,7 +245,7 @@ func NewSynthetic(cfg SyntheticConfig) (*Synthetic, error) {
 	}
 	if cfg.Synthesis == SynthSpectral {
 		s.perNode = true
-		if !cfg.DisableIndex {
+		if !cfg.disableIndex {
 			s.index = geo.NewIndex(cfg.Positions, 0)
 			s.cull = cull
 			// Index cells are inflated by the mooring drift radius plus a

@@ -123,9 +123,6 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 // Header returns the recording's metadata.
 func (d *Decoder) Header() Header { return d.h }
 
-// Decoded returns how many samples have been decoded so far.
-func (d *Decoder) Decoded() int { return d.read }
-
 // Next decodes up to len(dst) samples into dst and returns how many were
 // filled. Sample times are reconstructed as StartTime + i/SampleRate. At the
 // end of the recording it returns 0, io.EOF; a short file surfaces as

@@ -171,9 +171,6 @@ func (m *Maneuver) SpeedAt(t float64) float64 {
 	return l.speedAtS(l.sAt(math.Min(math.Max(t, l.t0), l.t1)))
 }
 
-// HeadingAt returns the unit sailing direction at time t (clamped).
-func (m *Maneuver) HeadingAt(t float64) geo.Vec2 { return m.legAt(t).track.Dir }
-
 // legSignal returns the wake packet the leg contributes at p. A leg
 // contributes iff the perpendicular foot of p falls within it — the segment
 // of track that generated the divergent waves observed at p. Legs partition

@@ -169,25 +169,6 @@ func (s *Ship) EffectiveCoeff() float64 {
 	return s.WaveCoeff * s.Speed / refSpeed
 }
 
-// CuspHeight returns the divergent-wave maximum height Hm = c·d^(−1/3)
-// (eq. 1) at perpendicular distance d from the sailing line. Distances
-// below MinDecayDistance are clamped to keep the near-field finite.
-func (s *Ship) CuspHeight(d float64) float64 {
-	if d < MinDecayDistance {
-		d = MinDecayDistance
-	}
-	return s.EffectiveCoeff() * math.Pow(d, -1.0/3.0)
-}
-
-// TransverseHeight returns the transverse-wave height c·d^(−1/2) at
-// perpendicular distance d.
-func (s *Ship) TransverseHeight(d float64) float64 {
-	if d < MinDecayDistance {
-		d = MinDecayDistance
-	}
-	return s.EffectiveCoeff() * math.Pow(d, -0.5)
-}
-
 // MinDecayDistance clamps the decay laws' singularity at the sailing line
 // (meters).
 const MinDecayDistance = 2.0

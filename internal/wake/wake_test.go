@@ -97,25 +97,22 @@ func TestWakeWaveSpeedAndFreq(t *testing.T) {
 
 func TestDecayLaws(t *testing.T) {
 	s := testShip(t, 5)
+	at := func(d float64) Signal { return s.SignalAt(geo.Vec2{X: 100, Y: d}) }
 	// Hm = c·d^(-1/3): doubling distance scales by 2^(-1/3).
-	h25 := s.CuspHeight(25)
-	h50 := s.CuspHeight(50)
-	if !almostEq(h50/h25, math.Pow(2, -1.0/3.0), 1e-9) {
-		t.Errorf("cusp decay ratio = %v", h50/h25)
+	if r := at(50).Amp / at(25).Amp; !almostEq(r, math.Pow(2, -1.0/3.0), 1e-9) {
+		t.Errorf("cusp decay ratio = %v", r)
 	}
 	// Transverse decays faster: ratio 2^(-1/2).
-	t25 := s.TransverseHeight(25)
-	t50 := s.TransverseHeight(50)
-	if !almostEq(t50/t25, math.Pow(2, -0.5), 1e-9) {
-		t.Errorf("transverse decay ratio = %v", t50/t25)
+	if r := at(50).TransAmp / at(25).TransAmp; !almostEq(r, math.Pow(2, -0.5), 1e-9) {
+		t.Errorf("transverse decay ratio = %v", r)
 	}
 	// Far from the ship, transverse waves are negligible relative to
-	// divergent waves (both same c here, so ratio shrinks with d).
-	if s.TransverseHeight(400)/s.CuspHeight(400) >= s.TransverseHeight(25)/s.CuspHeight(25) {
+	// divergent waves: their ratio shrinks with d.
+	if at(400).TransAmp/at(400).Amp >= at(25).TransAmp/at(25).Amp {
 		t.Error("transverse/divergent ratio should fall with distance")
 	}
 	// Near-field clamp keeps heights finite.
-	if math.IsInf(s.CuspHeight(0), 0) || s.CuspHeight(0) != s.CuspHeight(MinDecayDistance) {
+	if on := at(0); math.IsInf(on.Amp, 0) || on.Amp != at(MinDecayDistance).Amp {
 		t.Error("near-field clamp failed")
 	}
 }

@@ -20,9 +20,9 @@ import (
 // ReliableConfig parametrizes the per-hop ACK/retransmission transport.
 // The zero value disables it.
 type ReliableConfig struct {
-	// Enabled turns the acknowledged transport on for Unicast, SendToRoot
-	// and SendMultiHop (floods stay fire-and-forget: invites are
-	// redundant by construction).
+	// Enabled turns the acknowledged transport on for Unicast,
+	// SendToRootTraced and SendMultiHopTraced (floods stay fire-and-forget:
+	// invites are redundant by construction).
 	Enabled bool
 	// MaxRetrans bounds the retransmissions per hop after the first
 	// attempt; the hop is abandoned (and counted in ReliableDropped) when

@@ -124,8 +124,8 @@ func TestReliableGivesUpAfterBound(t *testing.T) {
 }
 
 func TestReliableMultiHopPaths(t *testing.T) {
-	// 1×6 chain at 50% loss: SendMultiHop and SendToRoot must still get
-	// through with per-hop ARQ.
+	// 1×6 chain at 50% loss: SendMultiHopTraced and SendToRootTraced must
+	// still get through with per-hop ARQ.
 	net, sched := gridNet(t, 1, 6, 25, reliableRadio(0.5, 8), 21)
 	got := 0
 	interior := 0
@@ -139,7 +139,7 @@ func TestReliableMultiHopPaths(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		if err := net.SendMultiHop(0, 5, "report", i); err != nil {
+		if err := net.SendMultiHopTraced(0, 5, "report", i, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func TestReliableMultiHopPaths(t *testing.T) {
 	rootGot := 0
 	net.MustNode(0).OnMessage = func(n *Node, msg Message) { rootGot++ }
 	for i := 0; i < 20; i++ {
-		if err := net.SendToRoot(tree, 5, "up", i); err != nil {
+		if err := net.SendToRootTraced(tree, 5, "up", i, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

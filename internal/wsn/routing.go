@@ -66,16 +66,11 @@ func (t *Tree) PathToRoot(id NodeID) ([]NodeID, error) {
 	return path, nil
 }
 
-// SendToRoot forwards a message hop by hop along the tree with link-layer
-// retries at each hop. Delivery is asynchronous; the returned error covers
-// only immediate failures (disconnection).
-func (w *Network) SendToRoot(t *Tree, from NodeID, kind string, payload interface{}) error {
-	return w.SendToRootTraced(t, from, kind, payload, "")
-}
-
-// SendToRootTraced is SendToRoot with a detection-trace wire key stamped
-// into the frame so the reliable transport's retransmission/drop spans
-// attach to the detection's trace. An empty trace is exactly SendToRoot.
+// SendToRootTraced forwards a message hop by hop along the tree with
+// link-layer retries at each hop. Delivery is asynchronous; the returned
+// error covers only immediate failures (disconnection). A non-empty trace
+// is a detection-trace wire key stamped into the frame so the reliable
+// transport's retransmission/drop spans attach to the detection's trace.
 func (w *Network) SendToRootTraced(t *Tree, from NodeID, kind string, payload interface{}, trace string) error {
 	path, err := t.PathToRoot(from)
 	if err != nil {
@@ -146,17 +141,12 @@ func (w *Network) transmitRelay(from, to *Node, msg Message, cont func(*Node, Me
 	return true
 }
 
-// SendMultiHop forwards a message from -> to along a shortest path over
-// alive nodes (BFS at send time), with link-layer retries per hop. Interior
-// nodes relay without delivering; only the destination's handler runs.
-// Used by cluster members to reach a temporary cluster head several hops
-// away.
-func (w *Network) SendMultiHop(from, to NodeID, kind string, payload interface{}) error {
-	return w.SendMultiHopTraced(from, to, kind, payload, "")
-}
-
-// SendMultiHopTraced is SendMultiHop with a detection-trace wire key
-// stamped into the frame (see SendToRootTraced).
+// SendMultiHopTraced forwards a message from -> to along a shortest path
+// over alive nodes (BFS at send time), with link-layer retries per hop.
+// Interior nodes relay without delivering; only the destination's handler
+// runs. Used by cluster members to reach a temporary cluster head several
+// hops away. trace is the detection-trace wire key stamped into the frame
+// (see SendToRootTraced); empty means untraced.
 func (w *Network) SendMultiHopTraced(from, to NodeID, kind string, payload interface{}, trace string) error {
 	src, err := w.Node(from)
 	if err != nil {

@@ -268,7 +268,7 @@ func TestSendToRootMultiHop(t *testing.T) {
 	}
 	var got []Message
 	net.MustNode(0).OnMessage = func(n *Node, msg Message) { got = append(got, msg) }
-	if err := net.SendToRoot(tree, 4, "report", "data"); err != nil {
+	if err := net.SendToRootTraced(tree, 4, "report", "data", ""); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunAll()
@@ -285,7 +285,7 @@ func TestSendToRootFromRoot(t *testing.T) {
 	tree, _ := net.BuildTree(0)
 	count := 0
 	net.MustNode(0).OnMessage = func(n *Node, msg Message) { count++ }
-	if err := net.SendToRoot(tree, 0, "self", nil); err != nil {
+	if err := net.SendToRootTraced(tree, 0, "self", nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunAll()
@@ -307,7 +307,7 @@ func TestSendMultiHop(t *testing.T) {
 			}
 		}
 	}
-	if err := net.SendMultiHop(0, 5, "report", 7); err != nil {
+	if err := net.SendMultiHopTraced(0, 5, "report", 7, ""); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunAll()
@@ -326,18 +326,18 @@ func TestSendMultiHopSelfAndErrors(t *testing.T) {
 	net, sched := gridNet(t, 1, 3, 25, perfectRadio(), 1)
 	count := 0
 	net.MustNode(0).OnMessage = func(n *Node, msg Message) { count++ }
-	if err := net.SendMultiHop(0, 0, "self", nil); err != nil {
+	if err := net.SendMultiHopTraced(0, 0, "self", nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunAll()
 	if count != 1 {
 		t.Errorf("self-delivery = %d", count)
 	}
-	if err := net.SendMultiHop(0, 99, "x", nil); err == nil {
+	if err := net.SendMultiHopTraced(0, 99, "x", nil, ""); err == nil {
 		t.Error("expected unknown-destination error")
 	}
 	net.MustNode(1).Fail()
-	if err := net.SendMultiHop(0, 2, "x", nil); err == nil {
+	if err := net.SendMultiHopTraced(0, 2, "x", nil, ""); err == nil {
 		t.Error("expected no-path error through dead relay")
 	}
 }
