@@ -345,6 +345,26 @@ func BenchmarkDetectorPush(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamFilter filters one node batch (25 samples, 0.5 s at
+// 50 Hz) per op through the detector's 101-tap 1 Hz low-pass, the block
+// path the runtime takes.
+func BenchmarkStreamFilter(b *testing.B) {
+	cfg := detect.DefaultConfig()
+	lp, err := dsp.LowPassFIR(cfg.CutoffHz, cfg.SampleRate, cfg.FilterTaps, dsp.Hamming)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := lp.Stream()
+	in, out := make([]float64, 25), make([]float64, 25)
+	for i := range in {
+		in[i] = 1024 + float64(i%13)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Filter(in, out)
+	}
+}
+
 func BenchmarkOceanFieldSample(b *testing.B) {
 	sc := eval.DefaultScenario()
 	sens, model, _, err := sc.Build(0)

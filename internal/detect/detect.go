@@ -27,6 +27,7 @@ package detect
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/sid-wsn/sid/internal/dsp"
 	"github.com/sid-wsn/sid/internal/stats"
@@ -226,8 +227,17 @@ type Report struct {
 	AnomalyFreq float64
 }
 
-// Detector is a streaming node-level detector. Feed samples with Push;
-// it is not safe for concurrent use (one detector per node).
+// Win is a completed anomaly window together with the index, within the
+// block given to PushBlock, of the sample that closed it.
+type Win struct {
+	WindowStat
+	Index int
+}
+
+// Detector is a streaming node-level detector. Feed samples with Push or
+// PushBlock; it is not safe for concurrent use (one detector per node), but
+// detectors built from equal filter settings share their read-only FIR
+// design and may run concurrently.
 type Detector struct {
 	cfg    Config
 	stream *dsp.Stream
@@ -263,12 +273,40 @@ type sampleRec struct {
 	crossed bool
 }
 
+// firKey identifies one low-pass design.
+type firKey struct {
+	cutoff, rate float64
+	taps         int
+}
+
+// firDesigns caches one low-pass design per filter setting for the lifetime
+// of the process, like dsp's FFT plans: every detector of a deployment uses
+// the same setting, so the taps are built and held once instead of once per
+// node.
+var firDesigns sync.Map // firKey -> *dsp.FIR
+
+// lowPass returns the shared low-pass design for cfg, building and caching
+// it on first use. Concurrent first calls may design the filter twice;
+// exactly one copy wins and is shared from then on.
+func lowPass(cfg Config) (*dsp.FIR, error) {
+	key := firKey{cfg.CutoffHz, cfg.SampleRate, cfg.FilterTaps}
+	if f, ok := firDesigns.Load(key); ok {
+		return f.(*dsp.FIR), nil
+	}
+	f, err := dsp.LowPassFIR(cfg.CutoffHz, cfg.SampleRate, cfg.FilterTaps, dsp.Hamming)
+	if err != nil {
+		return nil, err
+	}
+	actual, _ := firDesigns.LoadOrStore(key, f)
+	return actual.(*dsp.FIR), nil
+}
+
 // New validates cfg and builds a detector.
 func New(cfg Config) (*Detector, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	fir, err := dsp.LowPassFIR(cfg.CutoffHz, cfg.SampleRate, cfg.FilterTaps, dsp.Hamming)
+	fir, err := lowPass(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -300,12 +338,14 @@ func New(cfg Config) (*Detector, error) {
 // Config returns the detector's configuration.
 func (d *Detector) Config() Config { return d.cfg }
 
-// MemBytes returns the detector's resident state in bytes: the FIR taps and
-// delay line, the batch-statistics buffers (bounded by StatWindow), and the
-// sliding anomaly-window ring (AnomalyWindow records). Every buffer is a
-// fixed-size ring or a capacity-bounded accumulator sized from the
-// configuration, so once warm this is a constant — the per-node memory
-// budget a large field multiplies by its node count.
+// MemBytes returns the detector's resident state in bytes: the FIR delay
+// line (the taps are shared by every detector of the same filter setting,
+// so they count against no node), the batch-statistics buffers (bounded by
+// StatWindow), and the sliding anomaly-window ring (AnomalyWindow
+// records). Every buffer is a fixed-size ring or a capacity-bounded
+// accumulator sized from the configuration, so once warm this is a
+// constant — the per-node memory budget a large field multiplies by its
+// node count.
 func (d *Detector) MemBytes() int {
 	const recBytes = 24 // sampleRec: two float64s plus a padded bool
 	return d.stream.MemBytes() +
@@ -341,7 +381,34 @@ func (d *Detector) deviation(folded float64) float64 {
 // anomaly window completes, its statistics are returned with ok = true.
 // Samples must arrive in time order at the configured rate.
 func (d *Detector) Push(t float64, zCounts float64) (ws WindowStat, ok bool) {
-	filtered := d.stream.Push(zCounts)
+	return d.step(t, d.stream.Push(zCounts))
+}
+
+// pushChunk bounds the filtered-sample scratch PushBlock keeps on its stack.
+const pushChunk = 64
+
+// PushBlock feeds a block of raw z samples (ADC counts) taken at times t
+// (len(t) == len(z)), filtering the whole block at once, and appends every
+// anomaly window the block completes to wins, each with the index of the
+// sample that closed it. The windows are exactly those Push would return
+// sample by sample.
+func (d *Detector) PushBlock(t, z []float64, wins []Win) []Win {
+	var buf [pushChunk]float64
+	for i := 0; i < len(z); i += pushChunk {
+		f := buf[:min(pushChunk, len(z)-i)]
+		d.stream.Filter(z[i:i+len(f)], f)
+		for j, v := range f {
+			if ws, ok := d.step(t[i+j], v); ok {
+				wins = append(wins, Win{WindowStat: ws, Index: i + j})
+			}
+		}
+	}
+	return wins
+}
+
+// step runs the per-sample threshold and window logic on one filtered
+// sample taken (before filtering) at time t.
+func (d *Detector) step(t, filtered float64) (ws WindowStat, ok bool) {
 	d.samplesSeen++
 	// Discard the filter's startup transient: until the delay line is
 	// fully primed its output ramps from zero and would wreck the
@@ -470,13 +537,20 @@ func (d *Detector) ReportOf(ws WindowStat) Report {
 }
 
 // ProcessSeries runs the detector over a whole recording starting at t0
-// and returns every completed window. Convenient for offline evaluation.
+// and returns every completed window. Convenient for offline evaluation; it
+// takes the same block path as the runtime.
 func (d *Detector) ProcessSeries(t0 float64, z []float64) []WindowStat {
 	var out []WindowStat
-	for i, v := range z {
-		t := t0 + float64(i)/d.cfg.SampleRate
-		if ws, ok := d.Push(t, v); ok {
-			out = append(out, ws)
+	var ts [pushChunk]float64
+	var wins []Win
+	for i := 0; i < len(z); i += pushChunk {
+		n := min(pushChunk, len(z)-i)
+		for j := range n {
+			ts[j] = t0 + float64(i+j)/d.cfg.SampleRate
+		}
+		wins = d.PushBlock(ts[:n], z[i:i+n], wins[:0])
+		for _, w := range wins {
+			out = append(out, w.WindowStat)
 		}
 	}
 	return out

@@ -3,11 +3,15 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // FIR is a finite-impulse-response filter described by its tap coefficients.
 type FIR struct {
 	Taps []float64
+
+	revOnce sync.Once
+	rev     []float64 // Taps reversed, shared by every Stream of the design
 }
 
 // LowPassFIR designs a windowed-sinc low-pass filter with the given cutoff
@@ -70,50 +74,125 @@ func (f *FIR) Apply(x []float64) []float64 {
 	return out
 }
 
-// Stream runs the filter as a causal streaming operation: each pushed
-// sample yields one output sample delayed by the group delay. It is the
-// form a sensor node would run online.
+// streamRoom is the delay line's spare capacity past the L−1 samples of
+// history: up to streamRoom new samples are appended before the line
+// shifts its history back to the front.
+const streamRoom = 32
+
+// Stream runs the filter as a causal streaming operation: each input sample
+// yields one output sample delayed by the group delay. It is the form a
+// sensor node would run online.
+//
+// Bit-identity contract: every output y[n] is summed in one accumulator,
+// oldest sample first —
+//
+//	acc += taps[L−1]·x[n−L+1], then taps[L−2]·x[n−L+2], …, last taps[0]·x[n]
+//
+// — whatever the block split, so Filter over any sequence of blocks, Push
+// per sample, and the historical modulo-ring filter agree bit for bit.
+// Filter computes four outputs per pass over the taps, each in its own
+// accumulator; the lanes interleave different outputs, never the terms of
+// one.
+//
+// The taps are shared with the FIR design and only read, so any number of
+// streams built from one design may run concurrently. A single Stream is
+// not safe for concurrent use.
 type Stream struct {
-	taps []float64
-	buf  []float64
-	pos  int
+	rev []float64 // the design's taps in reverse order, shared
+	// line is the linear delay line: line[:n] holds the input history,
+	// oldest first, and always at least the last L−1 samples (zeros
+	// before any input).
+	line []float64
+	n    int
 }
 
-// Stream returns a streaming instance of the filter.
+// Stream returns a streaming instance of the filter. Streams share the
+// design's taps (reversed once, on the first call) and keep only their
+// delay line, so the taps must not be modified once a stream exists.
 func (f *FIR) Stream() *Stream {
-	return &Stream{taps: f.Taps, buf: make([]float64, len(f.Taps))}
-}
-
-// Push feeds one input sample and returns the next (causal) output sample.
-func (s *Stream) Push(x float64) float64 {
-	s.buf[s.pos] = x
-	s.pos = (s.pos + 1) % len(s.buf)
-	var acc float64
-	idx := s.pos
-	// buf[pos] is now the oldest sample; taps are applied newest-first.
-	for i := len(s.taps) - 1; i >= 0; i-- {
-		acc += s.taps[i] * s.buf[idx]
-		idx++
-		if idx == len(s.buf) {
-			idx = 0
+	f.revOnce.Do(func() {
+		f.rev = make([]float64, len(f.Taps))
+		for i, t := range f.Taps {
+			f.rev[len(f.Taps)-1-i] = t
 		}
-	}
-	return acc
+	})
+	hist := len(f.Taps) - 1
+	return &Stream{rev: f.rev, line: make([]float64, hist+streamRoom), n: hist}
 }
 
-// MemBytes returns the stream's resident state in bytes: tap and delay-line
-// slices plus the cursor. Each detector builds its own filter, so the taps
-// count against the owning node's budget.
+// Push feeds one input sample and returns the next (causal) output sample:
+// the one-sample case of Filter.
+func (s *Stream) Push(x float64) float64 {
+	in := [1]float64{x}
+	s.Filter(in[:], in[:])
+	return in[0]
+}
+
+// Filter feeds the block in through the filter and writes one output per
+// input sample to out, which must be at least as long as in. in and out
+// may be the same slice.
+func (s *Stream) Filter(in, out []float64) {
+	out = out[:len(in)]
+	hist := len(s.rev) - 1
+	for len(in) > 0 {
+		// Move the history to the front when the block does not fit behind
+		// it, so a block of up to streamRoom samples is filtered in one go.
+		if s.n+len(in) > len(s.line) && s.n > hist {
+			s.n = copy(s.line, s.line[s.n-hist:s.n])
+		}
+		c := copy(s.line[s.n:], in)
+		s.convolve(out[:c], s.line[s.n-hist:s.n+c])
+		s.n += c
+		in, out = in[c:], out[c:]
+	}
+}
+
+// convolve writes out[j] = Σ rev[k]·x[j+k] for k = 0…L−1, in that order
+// (rev[k] = taps[L−1−k], the contract on Stream); len(x) = len(out)+L−1.
+// Outputs go four per pass over the taps; a last lone output (every Push)
+// takes a single-accumulator pass, which does a quarter of the work.
+func (s *Stream) convolve(out, x []float64) {
+	rev := s.rev
+	last := len(out) - 1
+	j := 0
+	for ; j < last; j += 4 {
+		// Lanes past the end of out repeat the last output's window, and
+		// their sums are dropped.
+		w0 := x[j:][:len(rev)]
+		w1 := x[j+1:][:len(rev)]
+		w2 := x[min(j+2, last):][:len(rev)]
+		w3 := x[min(j+3, last):][:len(rev)]
+		var a0, a1, a2, a3 float64
+		for k, t := range rev {
+			a0 += t * w0[k]
+			a1 += t * w1[k]
+			a2 += t * w2[k]
+			a3 += t * w3[k]
+		}
+		lanes := [4]float64{a0, a1, a2, a3}
+		copy(out[j:], lanes[:])
+	}
+	if j == last {
+		w := x[j:][:len(rev)]
+		var acc float64
+		for k, t := range rev {
+			acc += t * w[k]
+		}
+		out[j] = acc
+	}
+}
+
+// MemBytes returns the stream's own resident state in bytes: the delay
+// line plus its cursor. The taps belong to the shared FIR design and are
+// not counted against any one stream.
 func (s *Stream) MemBytes() int {
-	return (cap(s.taps)+cap(s.buf))*8 + 8
+	return cap(s.line)*8 + 8
 }
 
 // Reset clears the stream state.
 func (s *Stream) Reset() {
-	for i := range s.buf {
-		s.buf[i] = 0
-	}
-	s.pos = 0
+	clear(s.line)
+	s.n = len(s.rev) - 1
 }
 
 // Decimate low-pass filters x (anti-aliasing at 0.8×Nyquist of the output

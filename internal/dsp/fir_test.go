@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -202,5 +203,175 @@ func TestGoertzelMatchesFFTBin(t *testing.T) {
 	}
 	if g := Goertzel(x, 5, 0); g != 0 {
 		t.Errorf("Goertzel with zero rate = %v", g)
+	}
+}
+
+// ringStream is the historical modulo-ring streaming filter, kept as the
+// bit-identity oracle for Stream: one accumulator per output, summed
+// taps[L−1]·oldest first and taps[0]·newest last.
+type ringStream struct {
+	taps []float64
+	buf  []float64
+	pos  int
+}
+
+func newRingStream(taps []float64) *ringStream {
+	return &ringStream{taps: taps, buf: make([]float64, len(taps))}
+}
+
+func (s *ringStream) Push(x float64) float64 {
+	s.buf[s.pos] = x
+	s.pos = (s.pos + 1) % len(s.buf)
+	var acc float64
+	idx := s.pos
+	for i := len(s.taps) - 1; i >= 0; i-- {
+		acc += s.taps[i] * s.buf[idx]
+		idx++
+		if idx == len(s.buf) {
+			idx = 0
+		}
+	}
+	return acc
+}
+
+func (s *ringStream) Reset() {
+	clear(s.buf)
+	s.pos = 0
+}
+
+// randomTaps returns n taps of mixed sign and magnitude, so any change in
+// summation order shows up in the low bits.
+func randomTaps(rng *rand.Rand, n int) []float64 {
+	taps := make([]float64, n)
+	for i := range taps {
+		taps[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+	}
+	return taps
+}
+
+// checkAgainstRing feeds x through Filter in the given block sizes (a
+// negative size stands for a Reset at that point) and through the ring
+// oracle sample by sample, and fails on the first output whose bits differ.
+func checkAgainstRing(t *testing.T, taps, x []float64, blocks []int) {
+	t.Helper()
+	st := (&FIR{Taps: taps}).Stream()
+	ring := newRingStream(taps)
+	out := make([]float64, len(x))
+	i := 0
+	for _, b := range blocks {
+		if b < 0 {
+			st.Reset()
+			ring.Reset()
+			continue
+		}
+		b = min(b, len(x)-i)
+		st.Filter(x[i:i+b], out[i:i+b])
+		for j := i; j < i+b; j++ {
+			want := ring.Push(x[j])
+			if math.Float64bits(out[j]) != math.Float64bits(want) {
+				t.Fatalf("taps=%d blocks=%v: out[%d] = %v (%#x), ring oracle %v (%#x)",
+					len(taps), blocks, j, out[j], math.Float64bits(out[j]), want, math.Float64bits(want))
+			}
+		}
+		i += b
+	}
+}
+
+// TestStreamFilterMatchesRing is the bit-identity property: for tap lengths
+// shorter and longer than the delay line's room, random block splits
+// (empty blocks and blocks longer than the room included) and Resets
+// mid-stream, Filter reproduces the ring oracle bit for bit.
+func TestStreamFilterMatchesRing(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{1, 2, 15, 101, streamRoom + 7} {
+		taps := randomTaps(rng, n)
+		for trial := 0; trial < 20; trial++ {
+			x := make([]float64, 400+rng.Intn(400))
+			for i := range x {
+				x[i] = 1024 + 300*rng.NormFloat64()
+			}
+			var blocks []int
+			for sum := 0; sum < len(x); {
+				switch r := rng.Intn(10); {
+				case r == 0:
+					blocks = append(blocks, 0)
+				case r == 1 && trial%2 == 1:
+					blocks = append(blocks, -1)
+				case r == 2:
+					b := streamRoom + 1 + rng.Intn(3*streamRoom)
+					blocks = append(blocks, b)
+					sum += b
+				default:
+					b := 1 + rng.Intn(streamRoom)
+					blocks = append(blocks, b)
+					sum += b
+				}
+			}
+			checkAgainstRing(t, taps, x, blocks)
+		}
+	}
+	// The paper's 1 Hz design, one sample at a time through Push.
+	lp, err := LowPassFIR(1, 50, 101, Hamming)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ring := lp.Stream(), newRingStream(lp.Taps)
+	for i := 0; i < 1000; i++ {
+		x := 1024 + 200*math.Sin(float64(i)/7) + rng.NormFloat64()
+		if got, want := st.Push(x), ring.Push(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Push[%d] = %v, ring oracle %v", i, got, want)
+		}
+	}
+}
+
+// FuzzStreamFilter checks Filter against the ring oracle for fuzzed taps,
+// input and block splits. Data is decoded as: tap count, then block sizes
+// (a size byte of 255 is a Reset), then samples from the remaining bytes.
+func FuzzStreamFilter(f *testing.F) {
+	f.Add(uint8(1), []byte{1, 1, 1}, []byte("single tap, unit blocks"))
+	f.Add(uint8(2), []byte{0, 3, 255, 5}, []byte("two taps with a reset in the middle"))
+	f.Add(uint8(15), []byte{25, 0, 25, 7}, []byte("fifteen taps over twenty-five sample blocks, as a node sees them"))
+	f.Add(uint8(101), []byte{200, 1, 31, 32, 33}, make([]byte, 300))
+	f.Add(uint8(streamRoom+7), []byte{streamRoom + 1, 255, 3, 90}, []byte("more taps than the delay line's room, long blocks"))
+	f.Fuzz(func(t *testing.T, nTaps uint8, splits, data []byte) {
+		if nTaps == 0 || len(data) == 0 {
+			return
+		}
+		if len(data) > 2048 {
+			data = data[:2048]
+		}
+		rng := rand.New(rand.NewSource(int64(nTaps)))
+		taps := randomTaps(rng, int(nTaps))
+		x := make([]float64, len(data))
+		for i, b := range data {
+			x[i] = float64(int8(b)) * 8.25
+		}
+		var blocks []int
+		for _, b := range splits {
+			if b == 255 {
+				blocks = append(blocks, -1)
+			} else {
+				blocks = append(blocks, int(b))
+			}
+		}
+		blocks = append(blocks, len(x)) // filter whatever is left
+		checkAgainstRing(t, taps, x, blocks)
+	})
+}
+
+// TestStreamZeroAlloc pins the streaming filter's hot paths at zero heap
+// allocations.
+func TestStreamZeroAlloc(t *testing.T) {
+	lp, err := LowPassFIR(1, 50, 101, Hamming)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := lp.Stream()
+	in, out := make([]float64, 25), make([]float64, 25)
+	if a := testing.AllocsPerRun(100, func() { st.Push(1024) }); a != 0 {
+		t.Errorf("Stream.Push allocates %v times", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { st.Filter(in, out) }); a != 0 {
+		t.Errorf("Stream.Filter allocates %v times", a)
 	}
 }

@@ -17,13 +17,18 @@ const memReportBytes = 48
 // memSampleBytes approximates one sensor.Sample (float64 + 3×int16, padded).
 const memSampleBytes = 16
 
+// memWinBytes approximates one detect.Win (a WindowStat of eight float64s
+// and an int, plus the sample index).
+const memWinBytes = 80
+
 // memBytes is the node's resident protocol + detector state in bytes:
 // detector rings, head-side collected reports, sub-head aggregation
-// buffers, and the in-flight sample block.
+// buffers, and the in-flight sample block and its completed windows.
 func (ns *nodeState) memBytes() int {
 	b := ns.det.MemBytes() +
 		cap(ns.reports)*memReportBytes +
-		cap(ns.block)*memSampleBytes
+		cap(ns.block)*memSampleBytes +
+		cap(ns.wins)*memWinBytes
 	for i := range ns.agg {
 		b += cap(ns.agg[i].reports) * memReportBytes
 	}

@@ -1,16 +1,19 @@
 package sid
 
 import (
+	"github.com/sid-wsn/sid/internal/detect"
 	"github.com/sid-wsn/sid/internal/obs"
 	"github.com/sid-wsn/sid/internal/parallel"
+	"github.com/sid-wsn/sid/internal/sensor"
 	"github.com/sid-wsn/sid/internal/source"
 	"github.com/sid-wsn/sid/internal/wsn"
 )
 
 // This file is the streaming ingest/detect loop: the batch pipeline that
-// pulls sample blocks from the deployment's source, tees them into an
-// attached recording, and feeds each node's detector. Protocol reactions
-// (cluster setup, reports, evaluation) live in protocol.go.
+// pulls sample blocks from the deployment's source, runs each node's
+// detector over its block, tees the blocks into an attached recording, and
+// replays the detections' side effects. Protocol reactions (cluster setup,
+// reports, evaluation) live in protocol.go.
 
 // Run drives the deployment for dur seconds of simulated time: sampling,
 // detection, clustering, correlation, and sink reporting all happen inside.
@@ -18,12 +21,14 @@ import (
 // Each sensing batch is a single scheduler event processed in three
 // phases: gate (serial — decide which nodes sense, charge idle energy),
 // produce (parallel — each sensing node's sample block comes from the
-// source, fanned across Config.Workers goroutines), and consume (serial,
-// ascending node order — detector pushes and protocol reactions). Message
-// deliveries are scheduler events of their own, so no protocol state
-// changes while a batch event runs; the pipeline is therefore observably
-// identical to the fully serial implementation, and runs are bit-identical
-// for any worker count.
+// source and runs through the node's detector, fanned across
+// Config.Workers goroutines), and consume (serial, ascending node order —
+// per-sample battery charges and the reactions to completed windows, in
+// the order the samples produced them). A detector reads nothing but its
+// own node's samples, and message deliveries are scheduler events of their
+// own, so no protocol state changes while a batch event runs; the pipeline
+// is therefore observably identical to the fully serial implementation,
+// and runs are bit-identical for any worker count.
 //
 // The loop is streaming end to end: the source hands out one batch per
 // node at a time, the detector consumes it into its bounded anomaly-window
@@ -67,6 +72,7 @@ func (r *Runtime) Run(dur float64) error {
 		parallel.ForEach(len(active), r.cfg.Workers, func(i int) {
 			ns := active[i]
 			ns.block = r.src.Block(int(ns.id), sampleIdx, t, perBatch)
+			ns.wins = detectBlock(ns.det, ns.block, ns.wins[:0])
 		})
 		stop()
 		if r.rec != nil {
@@ -120,19 +126,40 @@ func (r *Runtime) senseGate(ns *nodeState, sampleIdx, perBatch int, rate float64
 	return true
 }
 
-// consumeBlock feeds one node's sample block into its detector and reacts
-// to completed anomaly windows. Serial phase: network sends and battery
-// accounting happen here, in node order.
+// blockScratch sizes the stack buffers detectBlock unpacks a sample block
+// into; a longer block (SampleBatch above 5 s at 50 Hz) spills to the heap
+// for that call.
+const blockScratch = 256
+
+// detectBlock runs one node's sample block through its detector and appends
+// the completed anomaly windows to wins. Produce phase: it touches only the
+// node's own detector.
+func detectBlock(det *detect.Detector, blk []sensor.Sample, wins []detect.Win) []detect.Win {
+	var tb, zb [blockScratch]float64
+	ts, zs := tb[:0], zb[:0]
+	for _, smp := range blk {
+		ts = append(ts, smp.T)
+		zs = append(zs, float64(smp.Z))
+	}
+	return det.PushBlock(ts, zs, wins)
+}
+
+// consumeBlock replays one node's detections in sample order: each sample
+// charges its sensing cost, and each completed window its CPU cost, journal
+// entry and, when it passes the af threshold, the node's report. Serial
+// phase: network sends and battery accounting happen here, in node order.
 func (r *Runtime) consumeBlock(ns *nodeState) {
 	node := r.net.MustNode(ns.id)
-	for _, smp := range ns.block {
+	wins := ns.wins
+	for i := range ns.block {
 		if node.Battery != nil {
 			node.Battery.Consume(wsn.CostSample)
 		}
-		ws, done := ns.det.Push(smp.T, float64(smp.Z))
-		if !done {
+		if len(wins) == 0 || wins[0].Index != i {
 			continue
 		}
+		ws := wins[0].WindowStat
+		wins = wins[1:]
 		if node.Battery != nil {
 			node.Battery.Consume(wsn.CostCPU)
 		}

@@ -279,9 +279,11 @@ type nodeState struct {
 	agg     []aggBatch
 
 	// block is the node's sample block for the current batch, produced by
-	// the source in the parallel fan-out and consumed serially. Touched by
-	// exactly one goroutine per batch.
+	// the source in the parallel fan-out and consumed serially; wins are
+	// the anomaly windows the node's detector completed on it, in sample
+	// order. Touched by exactly one goroutine per batch.
 	block []sensor.Sample
+	wins  []detect.Win
 }
 
 // Runtime is a running SID deployment.
