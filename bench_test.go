@@ -11,6 +11,7 @@ package sid
 // The full-resolution artifacts are produced by cmd/sidbench.
 
 import (
+	"math"
 	"testing"
 
 	"github.com/sid-wsn/sid/internal/cluster"
@@ -450,6 +451,44 @@ func BenchmarkFieldStreamSpectral(b *testing.B) {
 			accel[j], slopeX[j], slopeY[j] = 0, 0, 0
 		}
 		st.AccumulateStream(float64(i*seriesBlock)/50, seriesBlock, accel, slopeX, slopeY)
+	}
+}
+
+// BenchmarkSpectralChunk synthesizes one spectral chunk per op on the
+// deployment sea (Hs 0.25 m, Tp 4 s, the source's seed derivation, its
+// tolerances and cull budgets) for a drifting observer: each op serves the
+// next 512-sample hop, which costs exactly one chunk.
+func BenchmarkSpectralChunk(b *testing.B) {
+	spec, err := ocean.NewPiersonMoskowitz(0.25, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := ocean.NewField(ocean.FieldConfig{Spectrum: spec, Seed: 11 ^ 0x0cea})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const counts = 1024 // sensor.DefaultAccelConfig().CountsPerG
+	plan, err := ocean.NewSpectralPlan(f, ocean.SpectralConfig{
+		Rate:      50,
+		TolAccel:  0.5 * ocean.Gravity / counts,
+		TolSlope:  0.5 / counts,
+		CullAccel: 0.125 * ocean.Gravity / counts,
+		CullSlope: 0.125 / counts,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := plan.NewMovingStream(func(t float64) geo.Vec2 {
+		return geo.Vec2{X: 40 + 3*math.Sin(t/30), Y: 60 + 3*math.Cos(t/30)}
+	})
+	hop := plan.Window() / 2
+	accel := make([]float64, hop)
+	slopeX := make([]float64, hop)
+	slopeY := make([]float64, hop)
+	st.AccumulateStream(0, hop, accel, slopeX, slopeY)
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		st.AccumulateStream(float64(i*hop)/50, hop, accel, slopeX, slopeY)
 	}
 }
 

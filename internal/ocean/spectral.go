@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/sid-wsn/sid/internal/dsp"
 	"github.com/sid-wsn/sid/internal/geo"
@@ -12,9 +13,10 @@ import (
 // This file implements spectral-domain block synthesis of a Field: instead
 // of rotating every wave component once per sample (O(samples × components),
 // the phasor path in field.go), a SpectralStream synthesizes fixed-length
-// Hann-windowed chunks by scattering each component onto the FFT bin grid
-// with a short interpolation kernel and inverse-transforming the chunk
-// (O(N log N + components × kernel) per N/2 output samples). Consecutive
+// Hann-windowed chunks by scattering the components, one group of equal
+// frequency at a time, onto the FFT bin grid with a short interpolation
+// kernel and inverse-transforming the chunk (O(N log N + components +
+// frequencies × kernel) per N/2 output samples). Consecutive
 // chunks overlap by half their length and sum to the unwindowed series
 // exactly (constant-overlap-add), so arbitrary sample blocks are served by
 // stitching the two chunks that cover each sample. The math, the error
@@ -28,7 +30,9 @@ type SpectralConfig struct {
 	Rate float64
 	// Window is the FFT chunk length N in samples; must be a power of two
 	// ≥ 8. Chunks advance by N/2 (half-overlap Hann). 0 selects 1024
-	// (20.48 s of signal at 50 Hz, ~100 KiB of scratch per stream).
+	// (20.48 s of signal at 50 Hz). A stream holds 3·N float64s (24 KiB
+	// at 1024); each chunk synthesis in flight borrows 3·N complex128s
+	// (48 KiB) of scratch from the plan.
 	Window int
 	// Kernel is the half-width K of the per-component frequency-domain
 	// interpolation kernel in bins (each component touches 2K+1 bins).
@@ -52,36 +56,60 @@ type SpectralConfig struct {
 	CullAccel, CullSlope float64
 }
 
-// specComp is one wave component prepared for bin-grid scattering.
+// specComp is one wave component prepared for bin-grid scattering. Its bin
+// and kernel weights live in the specGroup that holds it.
 type specComp struct {
-	bin    int     // nearest FFT bin of the per-sample phase step, in [0, N)
 	omega  float64 // angular frequency rad/s
 	kx, ky float64 // wavenumber components rad/m
 	phase  float64 // random phase offset rad
 	cA     float64 // accel spectral amplitude −a·ω² (real)
 	aX, aY float64 // slope spectral amplitudes a·kx, a·ky (imaginary axis)
+}
+
+// specGroup is a run of prepared components sharing one angular frequency.
+// Equal ω means an equal bin and equal kernel weights, so a chunk scatters
+// the group's summed amplitudes once instead of once per component.
+type specGroup struct {
+	lo, hi int // the group's components are comps[lo:hi]
+	bin    int // nearest FFT bin of the per-sample phase step, in [0, N)
 	// w[j] is the windowed-Dirichlet kernel weight of bin bin−K+j, with
 	// the 1/N inverse-transform normalization folded in. Node-independent:
-	// it depends only on the component's fractional bin offset.
+	// it depends only on the group's fractional bin offset.
 	w []complex128
 }
 
+// specScratch is the complex work space of one chunk synthesis: the
+// scattered accel, slopeX and slopeY spectra.
+type specScratch struct {
+	a, x, y []complex128
+}
+
 // SpectralPlan is the node-independent half of spectral synthesis for one
-// Field at one sample rate: the culled component set with precomputed kernel
-// weights. Build one per deployment and share it: a plan is immutable after
-// construction and safe for any number of concurrent streams.
+// Field at one sample rate: the culled component set grouped by frequency,
+// with precomputed kernel weights. Build one per deployment and share it:
+// its synthesis data is immutable after construction, and the scratch free
+// list is guarded by a mutex, so any number of streams may use one plan
+// concurrently.
 type SpectralPlan struct {
-	field *Field
-	rate  float64
-	dt    float64
-	n     int // chunk length (FFT size), power of two
-	hop   int // n/2
-	k     int // kernel half-width in bins
-	comps []specComp
+	field  *Field
+	rate   float64
+	dt     float64
+	n      int // chunk length (FFT size), power of two
+	hop    int // n/2
+	k      int // kernel half-width in bins
+	comps  []specComp
+	groups []specGroup
 
 	culled      int     // components dropped by the amplitude budget
 	culledAccel float64 // Σ a·ω² over dropped components (m/s²)
 	culledSlope float64 // Σ a·|k| over dropped components
+
+	// free holds chunk scratch not lent to a stream. A stream borrows one
+	// for the length of a chunk synthesis, so the list grows only to the
+	// number of chunks synthesized at once. A sync.Pool would be emptied
+	// by every GC and reallocate in steady state.
+	mu   sync.Mutex
+	free []*specScratch
 }
 
 // NewSpectralPlan prepares spectral synthesis of f. The plan holds a
@@ -110,8 +138,22 @@ func NewSpectralPlan(f *Field, cfg SpectralConfig) (*SpectralPlan, error) {
 	keep := p.cullComponents(f.comps, cfg.CullAccel, cfg.CullSlope)
 	p.k = kernelHalfWidth(cfg, keep, n)
 	p.comps = make([]specComp, 0, len(keep))
-	for _, c := range keep {
-		p.comps = append(p.comps, p.prepare(c))
+	for i, c := range keep {
+		p.comps = append(p.comps, specComp{
+			omega: c.omega,
+			kx:    c.kx,
+			ky:    c.ky,
+			phase: c.phase,
+			cA:    -c.amp * c.omega * c.omega,
+			aX:    c.amp * c.kx,
+			aY:    c.amp * c.ky,
+		})
+		if i > 0 && c.omega == keep[i-1].omega {
+			p.groups[len(p.groups)-1].hi = i + 1
+			continue
+		}
+		bin, w := p.kernel(c.omega)
+		p.groups = append(p.groups, specGroup{lo: i, hi: i + 1, bin: bin, w: w})
 	}
 	return p, nil
 }
@@ -203,14 +245,14 @@ func kernelHalfWidth(cfg SpectralConfig, comps []component, n int) int {
 	return k
 }
 
-// prepare computes one component's bin index and kernel weights. The
-// per-sample phase step of component c is β = −ω·dt; its nearest bin is
+// kernel computes the bin index and kernel weights of angular frequency ω.
+// The per-sample phase step is β = −ω·dt; its nearest bin is
 // round(β·N/2π) mod N and the weight of bin b+j is Ŵ((2π/N)(j−δ))/N, where
 // δ ∈ [−½, ½] is the fractional bin offset and Ŵ is the DFT of the periodic
 // Hann window (a three-term Dirichlet combination).
-func (p *SpectralPlan) prepare(c component) specComp {
+func (p *SpectralPlan) kernel(omega float64) (int, []complex128) {
 	n := float64(p.n)
-	beta := -c.omega * p.dt
+	beta := -omega * p.dt
 	frac := beta * n / (2 * math.Pi)
 	braw := math.Round(frac)
 	delta := frac - braw
@@ -218,24 +260,13 @@ func (p *SpectralPlan) prepare(c component) specComp {
 	if bin < 0 {
 		bin += p.n
 	}
-	sc := specComp{
-		bin:   bin,
-		omega: c.omega,
-		kx:    c.kx,
-		ky:    c.ky,
-		phase: c.phase,
-		cA:    -c.amp * c.omega * c.omega,
-		aX:    c.amp * c.kx,
-		aY:    c.amp * c.ky,
-		w:     make([]complex128, 2*p.k+1),
-	}
+	w := make([]complex128, 2*p.k+1)
 	binStep := 2 * math.Pi / n
 	for j := -p.k; j <= p.k; j++ {
 		theta := binStep * (float64(j) - delta)
-		w := hannDFT(theta, p.n)
-		sc.w[j+p.k] = w * complex(1/n, 0)
+		w[j+p.k] = hannDFT(theta, p.n) * complex(1/n, 0)
 	}
-	return sc
+	return bin, w
 }
 
 // dirichlet returns D(θ) = Σ_{u=0}^{N−1} e^{−iθu}
@@ -272,8 +303,8 @@ func (p *SpectralPlan) CulledComponents() (count int, accelSum, slopeSum float64
 	return p.culled, p.culledAccel, p.culledSlope
 }
 
-// KernelHalfWidth returns the kernel half-width K in bins (each component
-// scatters onto 2K+1 bins per chunk).
+// KernelHalfWidth returns the kernel half-width K in bins (each frequency
+// group scatters onto 2K+1 bins per chunk).
 func (p *SpectralPlan) KernelHalfWidth() int { return p.k }
 
 // Window returns the chunk length N in samples.
@@ -283,19 +314,16 @@ func (p *SpectralPlan) Window() int { return p.n }
 // paths and by equivalence tests).
 func (p *SpectralPlan) Field() *Field { return p.field }
 
-// chunkSlot caches one synthesized chunk: the windowed contribution of
-// chunk m to output samples [m·hop, m·hop+n) of the stream's grid.
-type chunkSlot struct {
-	m                     int
-	valid                 bool
-	accel, slopeX, slopeY []float64
-}
-
 // SpectralStream serves one node's sample blocks from a shared SpectralPlan.
 // It is the streaming, stateful half of spectral synthesis: it anchors an
 // absolute chunk grid at the first block it serves, synthesizes chunks on
-// demand, caches the handful that cover the current read position, and adds
-// the two overlapping chunks covering each requested sample.
+// demand, and serves each sample from the sum of the two overlapping chunks
+// that cover it.
+//
+// A stream keeps 6·hop float64s of state (24 KiB at the default window):
+// the summed output of its current hop segment and the second half of its
+// newest chunk, for each of the three series. The complex scratch of a
+// chunk synthesis is borrowed from the plan.
 //
 // A stream implements sensor.StreamSampler (the block path), plus the
 // SurfaceModel/SurfaceSampler point interfaces by delegating to the exact
@@ -311,8 +339,13 @@ type SpectralStream struct {
 	posAt   func(t float64) geo.Vec2 // nil for a fixed observer
 	started bool
 	tBase   float64 // time of grid sample 0
-	slots   [3]chunkSlot
-	scratch [3][]complex128
+	// seg holds the output of hop segment segM (grid samples
+	// [segM·hop, (segM+1)·hop)): chunk segM's first half plus chunk
+	// segM−1's second half. tail holds chunk segM's second half, the
+	// part segment segM+1 needs. Index 0/1/2 is accel/slopeX/slopeY.
+	hasSeg    bool
+	segM      int
+	seg, tail [3][]float64
 }
 
 // NewStream returns a stream for a fixed observer at p.
@@ -353,8 +386,9 @@ func (s *SpectralStream) SampleSurface(p geo.Vec2, t float64) (float64, geo.Vec2
 // the read position advances. The first call anchors the chunk grid so that
 // t0 falls exactly on a grid sample; later calls must stay on that grid
 // (the pipeline's blocks do — sample times are global-index × dt). Serving
-// the same grid range in one call or many yields bit-identical samples,
-// which is what keeps record→replay equivalence exact in spectral mode.
+// the same grid range in one call or many, contiguously or with gaps,
+// yields bit-identical samples, which is what keeps record→replay
+// equivalence exact in spectral mode.
 func (s *SpectralStream) AccumulateStream(t0 float64, n int, accel, slopeX, slopeY []float64) {
 	if n <= 0 {
 		return
@@ -373,14 +407,14 @@ func (s *SpectralStream) AccumulateStream(t0 float64, n int, accel, slopeX, slop
 		if rest := n - off; cnt > rest {
 			cnt = rest
 		}
-		cur := s.chunk(m)      // covers grid samples [m·hop, m·hop+n)
-		prev := s.chunk(m - 1) // covers [(m−1)·hop, (m+1)·hop)
-		u1 := sAbs - m*hop
-		u0 := u1 + hop
-		for i := 0; i < cnt; i++ {
-			accel[off+i] += cur.accel[u1+i] + prev.accel[u0+i]
-			slopeX[off+i] += cur.slopeX[u1+i] + prev.slopeX[u0+i]
-			slopeY[off+i] += cur.slopeY[u1+i] + prev.slopeY[u0+i]
+		s.segment(m)
+		u := sAbs - m*hop
+		sa, sx, sy := s.seg[0][u:u+cnt], s.seg[1][u:u+cnt], s.seg[2][u:u+cnt]
+		a, x, y := accel[off:off+cnt], slopeX[off:off+cnt], slopeY[off:off+cnt]
+		for i := range sa {
+			a[i] += sa[i]
+			x[i] += sx[i]
+			y[i] += sy[i]
 		}
 		off += cnt
 	}
@@ -396,88 +430,128 @@ func floorDiv(a, b int) int {
 	return q
 }
 
-// chunk returns the cached chunk m, synthesizing it into the least recently
-// useful slot if absent. Slots are replaced smallest-m first, which under
-// the stream's monotone access pattern never evicts a chunk needed later in
-// the same call.
-func (s *SpectralStream) chunk(m int) *chunkSlot {
-	victim := -1
-	for i := range s.slots {
-		sl := &s.slots[i]
-		if sl.valid && sl.m == m {
-			return sl
-		}
-		if !sl.valid {
-			victim = i
+// segment makes seg hold hop segment m. The next segment costs one chunk
+// synthesis; any other (a gap longer than a hop, or the first segment)
+// first re-synthesizes chunk m−1 for its second half. Either way the
+// segment is the same sum of the same two chunks, so a gap never changes
+// a sample.
+func (s *SpectralStream) segment(m int) {
+	if s.hasSeg && s.segM == m {
+		return
+	}
+	if s.seg[0] == nil {
+		hop := s.plan.hop
+		buf := make([]float64, 6*hop)
+		for i := range s.seg {
+			s.seg[i] = buf[2*i*hop : (2*i+1)*hop : (2*i+1)*hop]
+			s.tail[i] = buf[(2*i+1)*hop : (2*i+2)*hop : (2*i+2)*hop]
 		}
 	}
-	if victim < 0 {
-		victim = 0
-		for i := 1; i < len(s.slots); i++ {
-			if s.slots[i].m < s.slots[victim].m {
-				victim = i
-			}
-		}
+	if !s.hasSeg || s.segM != m-1 {
+		s.synthesize(m-1, false)
 	}
-	sl := &s.slots[victim]
-	s.synthesize(sl, m)
-	return sl
+	s.synthesize(m, true)
+	s.segM, s.hasSeg = m, true
 }
 
-// synthesize fills slot with chunk m: scatter every component onto the bin
-// grid with its kernel weights and phase rotation for this chunk, inverse
-// transform in place, and keep the real parts. The three series share the
-// per-component phase rotation; the kernel weights come from the shared
-// plan.
-func (s *SpectralStream) synthesize(sl *chunkSlot, m int) {
+// synthesize makes chunk m and stores its second half in tail. With
+// toSeg it first sets seg to the chunk's first half plus the previous
+// tail, which must hold chunk m−1's second half.
+//
+// Per group of equal-frequency components it sums the three complex
+// amplitudes (one Sincos per component) and scatters each sum once over
+// the group's 2K+1 kernel bins. real(ifft(S)) is the inverse transform of
+// S's Hermitian part H(S)[k] = (S[k] + conj(S[−k]))/2, so folding
+// z = H(S_accel) + i·H(S_slopeX) leaves accel in the real and slopeX in the
+// imaginary part of one inverse transform; slopeY takes a second.
+func (s *SpectralStream) synthesize(m int, toSeg bool) {
 	p := s.plan
-	n := p.n
-	if sl.accel == nil {
-		sl.accel = make([]float64, n)
-		sl.slopeX = make([]float64, n)
-		sl.slopeY = make([]float64, n)
-	}
-	if s.scratch[0] == nil {
-		for i := range s.scratch {
-			s.scratch[i] = make([]complex128, n)
-		}
-	}
-	tm := s.tBase + float64(m*p.hop)*p.dt
+	n, hop := p.n, p.hop
+	tm := s.tBase + float64(m*hop)*p.dt
 	pos := s.pos
 	if s.posAt != nil {
 		pos = s.posAt(tm + 0.5*float64(n)*p.dt)
 	}
-	sa, sx, sy := s.scratch[0], s.scratch[1], s.scratch[2]
-	for i := 0; i < n; i++ {
-		sa[i], sx[i], sy[i] = 0, 0, 0
-	}
-	kHalf := p.k
-	mask := n - 1
-	for ci := range p.comps {
-		c := &p.comps[ci]
-		// Phase of the component at the chunk's first sample, at the
-		// chunk's frozen observer position.
-		sin, cos := math.Sincos(c.kx*pos.X + c.ky*pos.Y + c.phase - c.omega*tm)
-		u := complex(cos, sin)
-		uA := u * complex(c.cA, 0)
-		uX := u * complex(0, c.aX)
-		uY := u * complex(0, c.aY)
-		base := c.bin - kHalf + n // + n keeps the masked index non-negative
-		for j, w := range c.w {
-			idx := (base + j) & mask
-			sa[idx] += uA * w
-			sx[idx] += uX * w
-			sy[idx] += uY * w
+	sc := p.borrow()
+	sa, sx, sy := sc.a, sc.x, sc.y
+	clear(sa)
+	clear(sx)
+	clear(sy)
+	for gi := range p.groups {
+		g := &p.groups[gi]
+		var ga, gx, gy complex128
+		for ci := g.lo; ci < g.hi; ci++ {
+			c := &p.comps[ci]
+			// Phase of the component at the chunk's first sample, at the
+			// chunk's frozen observer position.
+			sin, cos := math.Sincos(c.kx*pos.X + c.ky*pos.Y + c.phase - c.omega*tm)
+			ga += complex(cos*c.cA, sin*c.cA)
+			gx += complex(-sin*c.aX, cos*c.aX)
+			gy += complex(-sin*c.aY, cos*c.aY)
 		}
+		// The kernel's bins are contiguous modulo N: scatter them as at
+		// most two runs.
+		start := (g.bin - p.k + n) & (n - 1)
+		for w := g.w; len(w) > 0; start = 0 {
+			run := min(len(w), n-start)
+			a, x, y := sa[start:start+run], sx[start:start+run], sy[start:start+run]
+			for j, wj := range w[:run] {
+				a[j] += ga * wj
+				x[j] += gx * wj
+				y[j] += gy * wj
+			}
+			w = w[run:]
+		}
+	}
+	// Fold z = H(sa) + i·H(sx) into sa, pairing bins k and N−k; bins 0
+	// and N/2 are their own mirrors.
+	sa[0] = complex(real(sa[0]), real(sx[0]))
+	sa[hop] = complex(real(sa[hop]), real(sx[hop]))
+	for k := 1; k < hop; k++ {
+		a1, a2 := sa[k], sa[n-k]
+		x1, x2 := sx[k], sx[n-k]
+		sa[k] = complex(0.5*(real(a1)+real(a2)-imag(x1)+imag(x2)), 0.5*(imag(a1)-imag(a2)+real(x1)+real(x2)))
+		sa[n-k] = complex(0.5*(real(a2)+real(a1)-imag(x2)+imag(x1)), 0.5*(imag(a2)-imag(a1)+real(x2)+real(x1)))
 	}
 	// Unnormalized inverse transforms; the 1/N lives in the kernel weights.
 	dsp.FFTInPlace(sa, true)
-	dsp.FFTInPlace(sx, true)
 	dsp.FFTInPlace(sy, true)
-	for i := 0; i < n; i++ {
-		sl.accel[i] = real(sa[i])
-		sl.slopeX[i] = real(sx[i])
-		sl.slopeY[i] = real(sy[i])
+	if toSeg {
+		a, x, y := s.seg[0], s.seg[1], s.seg[2]
+		ta, tx, ty := s.tail[0], s.tail[1], s.tail[2]
+		for u := 0; u < hop; u++ {
+			a[u] = real(sa[u]) + ta[u]
+			x[u] = imag(sa[u]) + tx[u]
+			y[u] = real(sy[u]) + ty[u]
+		}
 	}
-	sl.m, sl.valid = m, true
+	a, x, y := s.tail[0], s.tail[1], s.tail[2]
+	for u := 0; u < hop; u++ {
+		a[u] = real(sa[hop+u])
+		x[u] = imag(sa[hop+u])
+		y[u] = real(sy[hop+u])
+	}
+	p.giveBack(sc)
+}
+
+// borrow takes chunk scratch from the plan's free list, allocating it when
+// the list is empty.
+func (p *SpectralPlan) borrow() *specScratch {
+	p.mu.Lock()
+	if k := len(p.free); k > 0 {
+		sc := p.free[k-1]
+		p.free = p.free[:k-1]
+		p.mu.Unlock()
+		return sc
+	}
+	p.mu.Unlock()
+	buf := make([]complex128, 3*p.n)
+	return &specScratch{a: buf[:p.n:p.n], x: buf[p.n : 2*p.n : 2*p.n], y: buf[2*p.n:]}
+}
+
+// giveBack returns scratch taken by borrow.
+func (p *SpectralPlan) giveBack(sc *specScratch) {
+	p.mu.Lock()
+	p.free = append(p.free, sc)
+	p.mu.Unlock()
 }

@@ -127,23 +127,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := NewScheduler(1)
-	count := 0
-	_ = s.Schedule(1, func() { count++; s.Stop() })
-	_ = s.Schedule(2, func() { count++ })
-	s.RunAll()
-	if count != 1 {
-		t.Errorf("count = %d, want 1 (stopped)", count)
-	}
-	if !s.Stopped() {
-		t.Error("Stopped() = false")
-	}
-	if s.Step() {
-		t.Error("Step after Stop should be false")
-	}
-}
-
 func TestRNGDeterministicAndDecoupled(t *testing.T) {
 	s1 := NewScheduler(99)
 	s2 := NewScheduler(99)
